@@ -1,0 +1,8 @@
+"""Make ``perfbench`` and the simulator under ``src/`` importable."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
