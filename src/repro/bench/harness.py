@@ -202,37 +202,6 @@ def _time_contested_cell(kind: NocKind, topology: Optional[str]) -> dict:
     }
 
 
-def _time_shard_cell(shards: int) -> dict:
-    """One run of the pinned sharded scenario (``SHARD_BENCH_SPEC``).
-
-    The recorded digest is the correctness half of the win-meter: every
-    shard count of the same spec must produce the same digest, so CI can
-    rerun the suite with ``--shards 2`` and assert the ``@shard`` cells
-    hash identically to the committed serial baselines.
-    """
-    from repro.shard import SHARD_BENCH_SPEC, run_sharded
-
-    backend = "process" if shards > 1 else "inline"
-    start = time.perf_counter()
-    result = run_sharded(SHARD_BENCH_SPEC, shards, backend=backend)
-    wall = time.perf_counter() - start
-    cell = {
-        "cycles": result.cycles,
-        "wall_s": wall,
-        "cycles_skipped": result.cycles_skipped,
-        "digest": result.digest,
-        "shards": result.shards,
-        "backend": result.backend,
-    }
-    # Supervision counters (process backend only; all-zero means the
-    # timing measured an undisturbed run).
-    if result.report is not None and not result.report.clean:
-        cell["respawns"] = result.report.respawns
-        cell["retries"] = result.report.retries
-        cell["failures"] = len(result.report.failures)
-    return cell
-
-
 def _finish_cell(cell: dict) -> dict:
     """Derive the throughput metrics every micro cell reports.
 
@@ -251,8 +220,7 @@ def _finish_cell(cell: dict) -> dict:
     return cell
 
 
-def run_micro(scale: EvaluationScale, repeat: int = 2,
-              shards: int = 1) -> Dict[str, dict]:
+def run_micro(scale: EvaluationScale, repeat: int = 2) -> Dict[str, dict]:
     """Best-of-``repeat`` cycles/second for each organization.
 
     Three cells per organization: the pinned full-system run (keyed by
@@ -262,11 +230,6 @@ def run_micro(scale: EvaluationScale, repeat: int = 2,
     (keyed ``<org>@contested``).  ``compare_reports`` skips keys absent
     from either side, so reports predating a cell family remain
     comparable.
-
-    A ``mesh@shard1`` cell times the pinned sharded scenario serially;
-    with ``shards > 1`` a ``mesh@shard<n>`` cell reruns it cut into that
-    many row stripes on the worker-process backend, so the pair measures
-    the sharding win (and the matching digests prove it changed nothing).
     """
     results: Dict[str, dict] = {}
     for kind in ALL_KINDS:
@@ -296,14 +259,6 @@ def run_micro(scale: EvaluationScale, repeat: int = 2,
             if best is None or cell["wall_s"] < best["wall_s"]:
                 best = cell
         results[key] = _finish_cell(best)
-    shard_counts = [1] if shards <= 1 else [1, shards]
-    for count in shard_counts:
-        best = None
-        for _ in range(max(1, repeat)):
-            cell = _time_shard_cell(count)
-            if best is None or cell["wall_s"] < best["wall_s"]:
-                best = cell
-        results[f"mesh@shard{count}"] = _finish_cell(best)
     return results
 
 
@@ -441,7 +396,6 @@ def run_bench(
     scale: Optional[EvaluationScale] = None,
     repeat: int = 2,
     include_macro: bool = True,
-    shards: int = 1,
 ) -> Dict[str, object]:
     scale = scale or get_scale()
     start = time.perf_counter()
@@ -450,9 +404,8 @@ def run_bench(
         "stamp": time.strftime("%Y%m%dT%H%M%SZ", time.gmtime()),
         "git_rev": git_rev(),
         "scale": scale.name,
-        "shards": shards,
         "machine": machine_info(),
-        "micro": run_micro(scale, repeat=repeat, shards=shards),
+        "micro": run_micro(scale, repeat=repeat),
     }
     # Process-wide allocator counters as of the end of the micro suite
     # (reuse ratios near 1.0 mean the free lists are doing their job).

@@ -163,25 +163,15 @@ def _check_header(snap: dict, expected_kind: str) -> None:
         )
 
 
-def restore_network(
-    snap: dict,
-    packets_out: Optional[dict] = None,
-) -> Tuple[Network, Optional[SyntheticTraffic]]:
+def restore_network(snap: dict) -> Tuple[Network, Optional[SyntheticTraffic]]:
     """Rebuild a network (and its workload, if snapshotted) from a
-    snapshot produced by :func:`snapshot_network`.
-
-    ``packets_out``, when given, is filled with the restored
-    ``pid -> Packet`` map (the shard layer rebuilds its cross-boundary
-    registry from it when a worker restarts from a recovery point).
-    """
+    snapshot produced by :func:`snapshot_network`."""
     _check_header(snap, "network")
     params = params_from_state(NocParams, snap["params"])
     network = build_network(params)
     ctx = RestoreContext(network, snap["registries"])
     _register_network_owners(ctx, network)
     ctx.materialize()
-    if packets_out is not None:
-        packets_out.update(ctx._packets)
     network.load_state(snap["network"], ctx)
     counters = snap["counters"]
     set_next_pid(counters["next_pid"])

@@ -129,26 +129,6 @@ def _add_topology_flag(p: argparse.ArgumentParser) -> None:
                         "(e.g. chiplet:2x2x4x4)")
 
 
-def _add_shards_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--shards", type=str, default=None, metavar="N",
-                   help="cut the simulated mesh into N row stripes "
-                        "stepped by parallel workers (0 = one per CPU; "
-                        "also available as REPRO_SHARDS); statistics "
-                        "stay bit-identical to a serial run")
-
-
-def _resolve_shards(args: argparse.Namespace) -> int:
-    """``--shards`` wins over ``REPRO_SHARDS``; both share the
-    worker-count validator, so bad values exit 2 with the same message
-    shape as every other parameter error."""
-    from repro.harness.runner import parse_worker_count
-    from repro.shard import shards_from_env
-
-    if getattr(args, "shards", None) is not None:
-        return parse_worker_count(args.shards, "--shards")
-    return shards_from_env(default=1)
-
-
 def _apply_cell_store(args: argparse.Namespace) -> None:
     """``--cell-store PATH`` persists finished evaluation-grid cells
     there (equivalent to setting ``REPRO_CELL_STORE``), so an
@@ -257,13 +237,6 @@ def _drive(sim, warmup: int, measure: int, every: Optional[int],
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.perf.system import SystemSimulator
 
-    shards = _resolve_shards(args)
-    if shards > 1:
-        # Full-system runs couple the cores to the NoC every cycle;
-        # only the synthetic-traffic scenarios shard today (see
-        # `repro bench --shards N` and repro.shard.run_sharded).
-        print(f"warning: --shards {shards} ignored: full-system runs "
-              f"do not shard yet; running serially", file=sys.stderr)
     if args.restore:
         from repro.checkpoint import read_snapshot, restore_system
 
@@ -506,8 +479,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(profile_micro(scale, top=args.profile))
         return 0
     report = run_bench(scale, repeat=args.repeat,
-                       include_macro=not args.no_macro,
-                       shards=_resolve_shards(args))
+                       include_macro=not args.no_macro)
     print(render_report(report))
     path = write_report(report, out=args.out)
     print(f"\nwrote {path}")
@@ -662,7 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the run's golden-determinism sha256 "
                         "digest (restored runs must match straight runs)")
     _add_time_skip_flag(p)
-    _add_shards_flag(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser(
@@ -752,7 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "PATH (sets REPRO_CELL_STORE); the macro report "
                         "records how many cells came from the store")
     _add_time_skip_flag(p)
-    _add_shards_flag(p)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(

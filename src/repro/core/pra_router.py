@@ -218,12 +218,11 @@ class PraRouter(MeshRouter):
         helpers (``_advance_held``/``_try_grant``/``_grant``/
         ``_pop_and_send``) inlined, mirroring the base mesh
         ``_step_fast``.  Falls back to the generic step whenever an
-        observer is attached (faults, tracer, shard boundary), so
-        instrumented runs always exercise the reference path.
+        observer is attached (faults, tracer), so instrumented runs
+        always exercise the reference path.
         """
         network = self.network
-        if (network.faults.enabled or network.tracer.enabled
-                or network.boundary is not None):
+        if network.faults.enabled or network.tracer.enabled:
             PraRouter.step(self, now)
             return
         used_inputs: Set[Direction] = set()

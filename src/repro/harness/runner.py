@@ -210,12 +210,11 @@ def _simulate_cell(cell: Cell) -> PerfSample:
 
 
 def parse_worker_count(raw: str, source: str) -> int:
-    """Validate a worker/shard count the way ``NocParams`` validates CLI
-    input: a clear :class:`ValueError` naming the knob instead of a raw
-    traceback from deep inside pool setup.
+    """Validate a worker count the way ``NocParams`` validates CLI
+    input: a clear :class:`ValueError` naming the knob (``source``)
+    instead of a raw traceback from deep inside pool setup.
 
     ``0`` means "one per CPU"; any positive integer is taken literally.
-    Shared by ``REPRO_JOBS``, ``REPRO_SHARDS``, and ``--shards``.
     """
     try:
         count = int(raw)
@@ -251,21 +250,17 @@ def _simulate_indexed(item: Tuple[int, Cell, int]):
     injected-fault lookup)."""
     index, cell, attempt = item
     if _worker_faults is not None:
+        from repro.resilience.faults import KILL_EXIT_CODE, ProcessFaultError
+
         action = _worker_faults.cell_action(index, attempt)
         if action == "kill":
             if _in_worker:
-                import os as _os
-
-                _os._exit(13)
-            from repro.resilience.faults import ProcessFaultError
-
+                os._exit(KILL_EXIT_CODE)
             raise ProcessFaultError(
                 f"injected kill for cell {index} (downgraded to an "
                 f"error outside a pool worker)"
             )
         if action == "error":
-            from repro.resilience.faults import ProcessFaultError
-
             raise ProcessFaultError(
                 f"injected failure for cell {index} attempt {attempt}"
             )

@@ -155,16 +155,6 @@ class Network:
         self.fastpath = _fastpath_default
         #: Idle cycles fast-forwarded instead of stepped.
         self.cycles_skipped = 0
-        #: Boundary-port observer installed by the sharded engine
-        #: (:mod:`repro.shard`).  When set, routers report grants whose
-        #: downstream router belongs to another shard through
-        #: ``boundary.note_grant(port, packet, now)``.  None in every
-        #: serial run, keeping the hot path to one attribute check.
-        self.boundary = None
-        #: Shard ownership view (:class:`repro.shard.domain.ShardDomain`)
-        #: consulted by the invariant suite to restrict audits to owned
-        #: components.  None in every serial run.
-        self.shard_view = None
 
     # -- observers (tracer, fault injector, invariant suite) ---------------
 
@@ -296,28 +286,22 @@ class Network:
             return
         arrivals, credits, ordered = bucket
         if arrivals:
-            if self.boundary is not None:
-                # Sharded runs wrap ``wake_router`` per instance to
-                # filter non-owned nodes; take the dispatching path so
-                # the wrapper stays in the loop.
-                mode = 0
-            else:
-                mode = self._plain_arrivals
-                if mode is None:
-                    routers = self.routers
-                    if not routers:
-                        mode = 0
-                    elif all(router._plain_receive
-                             and router.network is self
-                             for router in routers):
-                        mode = 1  # stock reception everywhere
-                    elif all(router._latch_index is not None
-                             and router.network is self
-                             for router in routers):
-                        mode = 2  # PRA: VC push or latch append
-                    else:
-                        mode = 0  # mixed/custom: virtual dispatch
-                    self._plain_arrivals = mode
+            mode = self._plain_arrivals
+            if mode is None:
+                routers = self.routers
+                if not routers:
+                    mode = 0
+                elif all(router._plain_receive
+                         and router.network is self
+                         for router in routers):
+                    mode = 1  # stock reception everywhere
+                elif all(router._latch_index is not None
+                         and router.network is self
+                         for router in routers):
+                    mode = 2  # PRA: VC push or latch append
+                else:
+                    mode = 0  # mixed/custom: virtual dispatch
+                self._plain_arrivals = mode
             if mode == 1:
                 # Inlined ``BaseRouter.receive_flit`` (+ wake): the
                 # delivery loop is the single hottest event path.
@@ -602,7 +586,7 @@ class Network:
         """Flatten one bucket into the wire format, in drain order
         (arrivals, credits, then the ordered queue).  The per-event
         encoding is unchanged from the flat-list era, so old snapshots
-        decode and the shard merge tooling needs no version bump."""
+        decode without a version bump."""
         arrivals, credits, ordered = bucket
         out = [
             ["a", router.node, int(direction), vc_index, ctx.flit_ref(flit)]

@@ -141,9 +141,7 @@ class BaseRouter:
 
     #: True once ``finalize_build`` verified the network keeps the
     #: stock event schedulers, letting ``_pop_and_send`` (and the SMART
-    #: transmit) append straight into the cycle buckets.  Runtime still
-    #: checks ``network.boundary`` — sharded runs patch the schedulers
-    #: per instance.
+    #: transmit) append straight into the cycle buckets.
     _plain_sched = False
 
     def receive_flit(self, direction: Port, vc_index: int, flit: Flit) -> None:
@@ -185,11 +183,11 @@ class BaseRouter:
             vc.next_claim = None
         self.active_flits -= 1
         network = self.network
-        # ``plain``: stock schedulers, no shard patching — credit and
-        # arrival appends go straight into the cycle buckets (targets
-        # are ``now + <positive const>`` with ``now == network.cycle``,
-        # so the future-only guard holds by construction).
-        plain = self._plain_sched and network.boundary is None
+        # ``plain``: stock schedulers — credit and arrival appends go
+        # straight into the cycle buckets (targets are
+        # ``now + <positive const>`` with ``now == network.cycle``, so
+        # the future-only guard holds by construction).
+        plain = self._plain_sched
         feeder = vc.unit.feeder_port
         if feeder is not None:
             if plain:
@@ -458,14 +456,13 @@ class MeshRouter(BaseRouter):
         round-robin pick is rotation arithmetic fused with the
         eligibility filter, and the pop→credit→send chain skips the
         virtual dispatch.  Whenever an observer is attached (faults,
-        tracer, shard boundary) the router falls back to the generic
-        step, so instrumented runs always exercise the reference path.
+        tracer) the router falls back to the generic step, so
+        instrumented runs always exercise the reference path.
         """
         if self.active_flits == 0:
             return
         network = self.network
-        if (network.faults.enabled or network.tracer.enabled
-                or network.boundary is not None):
+        if network.faults.enabled or network.tracer.enabled:
             MeshRouter.step(self, now)
             return
         touched = self._scan_heads_fast()
@@ -594,8 +591,7 @@ class MeshRouter(BaseRouter):
         if self.active_flits == 0:
             return
         network = self.network
-        if (network.faults.enabled or network.tracer.enabled
-                or network.boundary is not None):
+        if network.faults.enabled or network.tracer.enabled:
             MeshRouter.step(self, now)
             return
         touched = self._scan_heads_fast()
@@ -738,12 +734,6 @@ class MeshRouter(BaseRouter):
         tracer = self.network.tracer
         if not port.is_ejection:
             port.downstream_vc(packet.vc_index).allocated_to = packet
-            boundary = self.network.boundary
-            if boundary is not None:
-                # Sharded runs mirror VC allocations whose downstream
-                # router lives in another shard (the write above landed
-                # on a local replica; the owner must replay it).
-                boundary.note_grant(port, packet, now)
             if tracer.enabled:
                 tracer.emit(now, EV_VC_ALLOC, pid=packet.pid, node=self.node,
                             direction=port_name(port.direction),

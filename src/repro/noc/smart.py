@@ -97,8 +97,7 @@ class SmartRouter(MeshRouter):
         if self.active_flits == 0:
             return
         network = self.network
-        if (network.faults.enabled or network.tracer.enabled
-                or network.boundary is not None):
+        if network.faults.enabled or network.tracer.enabled:
             MeshRouter.step(self, now)
             return
         touched = self._scan_heads_fast()
@@ -246,11 +245,11 @@ class SmartRouter(MeshRouter):
             vc.next_claim = None
         self.active_flits -= 1
         network = self.network
-        # Stock schedulers and no shard patching → append straight into
-        # the cycle buckets (all offsets below are positive constants
-        # with ``now == network.cycle``, so the future-only guard holds
-        # by construction).
-        plain = self._plain_sched and network.boundary is None
+        # Stock schedulers → append straight into the cycle buckets (all
+        # offsets below are positive constants with
+        # ``now == network.cycle``, so the future-only guard holds by
+        # construction).
+        plain = self._plain_sched
         feeder = vc.unit.feeder_port
         if feeder is not None:
             if plain:

@@ -64,7 +64,6 @@ class NetworkStats:
     #: of a supervised run itself, so recovery leaves the pinned golden
     #: digests untouched).
     worker_retries: int = 0
-    worker_respawns: int = 0
     pool_rebuilds: int = 0
     cells_quarantined: int = 0
     #: Analytic fast-path observability (also only ever counted on the
@@ -169,10 +168,9 @@ class NetworkStats:
         # Same deal for the supervision counters: they only ever tick on
         # the module-wide grid_stats object, and only when something
         # actually failed, so unfaulted summaries stay digest-stable.
-        if self.worker_retries or self.worker_respawns \
-                or self.pool_rebuilds or self.cells_quarantined:
+        if self.worker_retries or self.pool_rebuilds \
+                or self.cells_quarantined:
             out["worker_retries"] = self.worker_retries
-            out["worker_respawns"] = self.worker_respawns
             out["pool_rebuilds"] = self.pool_rebuilds
             out["cells_quarantined"] = self.cells_quarantined
         # And the analytic-screening counters: they only tick when a
@@ -219,7 +217,6 @@ class NetworkStats:
             "grid_cache_hits": self.grid_cache_hits,
             "grid_cache_misses": self.grid_cache_misses,
             "worker_retries": self.worker_retries,
-            "worker_respawns": self.worker_respawns,
             "pool_rebuilds": self.pool_rebuilds,
             "cells_quarantined": self.cells_quarantined,
             "analytic_cells": self.analytic_cells,
@@ -256,7 +253,6 @@ class NetworkStats:
         self.grid_cache_misses = state["grid_cache_misses"]
         # Absent in snapshots written before supervised execution.
         self.worker_retries = state.get("worker_retries", 0)
-        self.worker_respawns = state.get("worker_respawns", 0)
         self.pool_rebuilds = state.get("pool_rebuilds", 0)
         self.cells_quarantined = state.get("cells_quarantined", 0)
         # Absent in snapshots written before the analytic fast path.

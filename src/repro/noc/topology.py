@@ -274,14 +274,6 @@ class Topology:
                     links.append((node, other))
         return links
 
-    def row_domains(self, count: int) -> List[Tuple[int, int]]:
-        """Contiguous shard domains (mesh-only; see the override)."""
-        if count == 1:
-            return [(0, self.num_nodes - 1)]
-        raise ValueError(
-            f"{self.kind} topology has no row-stripe domains"
-        )
-
     def _check(self, node: int) -> None:
         if not (0 <= node < self.num_nodes):
             raise ValueError(
@@ -366,31 +358,6 @@ class MeshTopology(Topology):
                 return None
             current = self.neighbor(current, direction)
         return current
-
-    def row_domains(self, count: int) -> List[Tuple[int, int]]:
-        """Partition the mesh into ``count`` contiguous row stripes.
-
-        Returns per-domain ``(first_node, last_node)`` inclusive node-id
-        ranges (row-major numbering keeps each stripe a contiguous id
-        range).  Rows split as evenly as possible: the first
-        ``height % count`` stripes take one extra row.  Used by the
-        sharded simulation engine, whose boundary protocol exchanges
-        traffic only across the horizontal cuts between stripes.
-        """
-        if not 1 <= count <= self.height:
-            raise ValueError(
-                f"cannot cut {self.height} rows into {count} row domains"
-            )
-        base, extra = divmod(self.height, count)
-        domains: List[Tuple[int, int]] = []
-        row = 0
-        for index in range(count):
-            rows = base + (1 if index < extra else 0)
-            first = row * self.width
-            last = (row + rows) * self.width - 1
-            domains.append((first, last))
-            row += rows
-        return domains
 
     def __repr__(self) -> str:
         return f"MeshTopology({self.width}x{self.height})"

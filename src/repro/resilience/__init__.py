@@ -1,20 +1,17 @@
-"""Supervised execution: crash recovery, retries, graceful degradation.
+"""Supervised execution of the evaluation grid: retries, quarantine,
+graceful degradation.
 
-The simulator's parallel shapes — the sharded mesh
-(:mod:`repro.shard`) and the evaluation grid
-(:mod:`repro.harness.runner`) — both run real worker processes, and
-real worker processes die.  This package supplies the supervision
-layer that keeps a run alive through those deaths:
+The evaluation grid (:mod:`repro.harness.runner`) is the simulator's
+one parallel shape: with ``REPRO_JOBS`` above 1 it runs cells in real
+worker processes, and real worker processes die.  This package
+supplies what keeps a sweep alive through those deaths:
 
-* :class:`RetryPolicy` — the knobs (retries, heartbeat, quarantine
-  threshold, backoff, recovery-point interval), each with a validated
-  ``REPRO_*`` environment variable;
-* :func:`run_supervised` — the sharded-run supervisor (recovery-point
-  barriers, pool respawn + restore, bounded backoff, serial
-  degradation), digest-identical to an unfaulted run;
+* :class:`RetryPolicy` — the knobs (pool rebuilds, quarantine
+  threshold, backoff), each with a validated ``REPRO_*`` environment
+  variable;
 * :class:`ProcessFaultPlan` / :class:`ProcFault` — deterministic
-  process-level fault injection (kill / hang / garbage / error) so
-  every recovery path is testable;
+  per-cell fault injection (kill / error) so every recovery path is
+  testable;
 * :class:`RunReport` / :class:`FailureRecord` — the structured flight
   record the CLI prints on nonzero exit and the bench harness embeds
   in reports; :func:`last_run_report` fetches the most recent one.
@@ -25,7 +22,6 @@ from repro.resilience.faults import (
     ProcessFaultError,
     ProcessFaultPlan,
     ProcFault,
-    ShardFaultDriver,
 )
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.report import (
@@ -35,7 +31,6 @@ from repro.resilience.report import (
     last_run_report,
     publish,
 )
-from repro.resilience.supervisor import run_supervised
 
 __all__ = [
     "KILL_EXIT_CODE",
@@ -45,9 +40,7 @@ __all__ = [
     "ProcessFaultPlan",
     "RetryPolicy",
     "RunReport",
-    "ShardFaultDriver",
     "clear_last_report",
     "last_run_report",
     "publish",
-    "run_supervised",
 ]

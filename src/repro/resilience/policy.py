@@ -1,24 +1,19 @@
-"""Retry/backoff/heartbeat knobs for supervised execution.
+"""Retry/backoff/quarantine knobs for the supervised evaluation grid.
 
 A :class:`RetryPolicy` is a frozen value object, so the same policy
-drives a run identically wherever it is built — in the parent, in a
-respawned pool, or in a test.  Every knob has an environment variable
+drives a sweep identically wherever it is built — in the parent, in a
+rebuilt pool, or in a test.  Every knob has an environment variable
 (validated the way ``parse_worker_count`` validates ``REPRO_JOBS``: a
 clear :class:`ValueError` naming the knob, which the CLI turns into a
 clean exit 2) so long sweeps can be hardened without touching code:
 
 ==========================  =============================================
-``REPRO_MAX_RETRIES``       recovery attempts (shard-pool respawns, grid
-                            pool rebuilds) before degrading gracefully
-``REPRO_HEARTBEAT_TIMEOUT`` seconds a shard worker may stay silent
-                            before it is diagnosed as hung
+``REPRO_MAX_RETRIES``       grid pool rebuilds before the sweep degrades
+                            to in-parent execution
 ``REPRO_QUARANTINE_AFTER``  failures of one evaluation-grid cell before
                             it is quarantined as a poison cell
 ``REPRO_RETRY_BACKOFF``     base seconds of the exponential backoff
                             slept between recovery attempts
-``REPRO_RECOVERY_INTERVAL`` cycles between automatic recovery-point
-                            barriers in a sharded run (0 = auto: a
-                            quarter of the injection window)
 ==========================  =============================================
 """
 
@@ -26,7 +21,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional
 
 
 def _parse_int(raw: str, source: str, minimum: int) -> int:
@@ -61,14 +55,11 @@ def _parse_seconds(raw: str, source: str, minimum: float) -> float:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How hard supervised execution tries before giving ground."""
+    """How hard the supervised grid tries before giving ground."""
 
-    #: Recovery attempts without forward progress before degrading:
-    #: shard-pool respawns per run segment, grid pool rebuilds per sweep.
+    #: Grid pool rebuilds per sweep before degrading to in-parent
+    #: execution.
     max_retries: int = 2
-    #: Seconds a shard worker may stay silent mid-command before the
-    #: supervisor declares it hung and recycles the pool.
-    heartbeat_timeout: float = 60.0
     #: Failures of a single evaluation-grid cell before it is recorded
     #: as a poison cell and the sweep moves on without it.
     quarantine_after: int = 3
@@ -76,19 +67,11 @@ class RetryPolicy:
     #: ``backoff_base * 2**(k-1)`` seconds.  Zero disables sleeping
     #: (tests use this to keep recovery paths fast).
     backoff_base: float = 0.05
-    #: Cycles between automatic cycle-barrier recovery points in a
-    #: sharded run; ``None`` picks a quarter of the injection window.
-    recovery_interval: Optional[int] = None
 
     def __post_init__(self):
         if self.max_retries < 0:
             raise ValueError(
                 f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.heartbeat_timeout <= 0:
-            raise ValueError(
-                f"heartbeat_timeout must be positive, "
-                f"got {self.heartbeat_timeout}"
             )
         if self.quarantine_after < 1:
             raise ValueError(
@@ -99,26 +82,12 @@ class RetryPolicy:
             raise ValueError(
                 f"backoff_base must be >= 0, got {self.backoff_base}"
             )
-        if self.recovery_interval is not None \
-                and self.recovery_interval < 1:
-            raise ValueError(
-                f"recovery_interval must be positive (or None for "
-                f"auto), got {self.recovery_interval}"
-            )
 
     def backoff(self, attempt: int) -> float:
         """Seconds to sleep before recovery attempt ``attempt`` (1-based)."""
         if attempt < 1:
             return 0.0
         return self.backoff_base * (2 ** (attempt - 1))
-
-    def barriers(self, cycles: int) -> list:
-        """Automatic recovery-point barriers for an injection window of
-        ``cycles`` cycles (strictly inside the window, ascending)."""
-        interval = self.recovery_interval
-        if interval is None:
-            interval = max(1, cycles // 4)
-        return list(range(interval, cycles, interval))
 
     @classmethod
     def from_env(cls) -> "RetryPolicy":
@@ -127,11 +96,6 @@ class RetryPolicy:
         raw = os.environ.get("REPRO_MAX_RETRIES")
         if raw is not None:
             kwargs["max_retries"] = _parse_int(raw, "REPRO_MAX_RETRIES", 0)
-        raw = os.environ.get("REPRO_HEARTBEAT_TIMEOUT")
-        if raw is not None:
-            kwargs["heartbeat_timeout"] = _parse_seconds(
-                raw, "REPRO_HEARTBEAT_TIMEOUT", 1e-9
-            )
         raw = os.environ.get("REPRO_QUARANTINE_AFTER")
         if raw is not None:
             kwargs["quarantine_after"] = _parse_int(
@@ -142,8 +106,4 @@ class RetryPolicy:
             kwargs["backoff_base"] = _parse_seconds(
                 raw, "REPRO_RETRY_BACKOFF", 0.0
             )
-        raw = os.environ.get("REPRO_RECOVERY_INTERVAL")
-        if raw is not None:
-            interval = _parse_int(raw, "REPRO_RECOVERY_INTERVAL", 0)
-            kwargs["recovery_interval"] = interval or None
         return cls(**kwargs)

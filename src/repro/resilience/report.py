@@ -1,11 +1,11 @@
-"""Structured outcomes of supervised execution.
+"""Structured outcomes of supervised grid sweeps.
 
-A :class:`RunReport` is the supervisor's flight record: every failure it
-saw, every recovery it performed, every cell it gave up on.  The CLI
-prints it on nonzero exit, the bench harness embeds its counters in
-reports, and ``publish`` mirrors the counters onto the module-wide
-``grid_stats`` object so they appear in ``NetworkStats.summary()``
-alongside the grid-cache counters.
+A :class:`RunReport` is the supervised grid's flight record: every
+failure it saw, every recovery it performed, every cell it gave up on.
+The CLI prints it on nonzero exit, the bench harness embeds its
+counters in reports, and ``publish`` mirrors the counters onto the
+module-wide ``grid_stats`` object so they appear in
+``NetworkStats.summary()`` alongside the grid-cache counters.
 """
 
 from __future__ import annotations
@@ -18,15 +18,13 @@ from typing import List, Optional
 class FailureRecord:
     """One observed failure, diagnosed and attributed."""
 
-    #: What failed: ``"shard"`` (a shard worker), ``"cell"`` (one
-    #: evaluation-grid cell), or ``"pool"`` (a whole grid worker pool).
+    #: What failed: ``"cell"`` (one evaluation-grid cell) or ``"pool"``
+    #: (a whole grid worker pool).
     scope: str
-    #: Human-readable identity: ``"shard 1"``, ``"Web Search/mesh seed 1"``.
+    #: Human-readable identity, e.g. ``"Web Search/mesh seed 1"``.
     target: str
-    #: Diagnosis: ``"died"`` (process gone, exit code known), ``"hung"``
-    #: (alive but silent past the heartbeat), ``"garbage"`` (malformed
-    #: reply), ``"error"`` (worker-reported exception), ``"protocol"``
-    #: (shard-protocol invariant broke).
+    #: Diagnosis: ``"died"`` (worker process gone) or ``"error"``
+    #: (the cell raised).
     kind: str
     #: Failures of this target so far (1-based at first failure).
     attempts: int
@@ -43,23 +41,19 @@ class FailureRecord:
 
 @dataclass
 class RunReport:
-    """Everything the supervisor did to keep one run alive."""
+    """Everything the supervised grid did to keep one sweep alive."""
 
     backend: str
     #: Recovery attempts (each one retried work that had failed).
     retries: int = 0
-    #: Shard worker pools respawned from a recovery point (or scratch).
-    respawns: int = 0
     #: Evaluation-grid worker pools rebuilt after a crash.
     pool_rebuilds: int = 0
-    #: Cycle-barrier recovery points taken during the run.
-    recovery_points: int = 0
     #: Every failure observed, in order (recovered ones included).
     failures: List[FailureRecord] = field(default_factory=list)
     #: Poison cells abandoned after ``quarantine_after`` failures.
     quarantined: List[FailureRecord] = field(default_factory=list)
-    #: Set when retries exhausted and the run continued in a degraded
-    #: mode (serial continuation from the last recovery point).
+    #: Set when pool rebuilds exhausted and the sweep continued in a
+    #: degraded mode (serial in-parent execution).
     degraded: Optional[str] = None
 
     @property
@@ -81,9 +75,7 @@ class RunReport:
         return {
             "backend": self.backend,
             "retries": self.retries,
-            "respawns": self.respawns,
             "pool_rebuilds": self.pool_rebuilds,
-            "recovery_points": self.recovery_points,
             "failures": len(self.failures),
             "quarantined": [f.render() for f in self.quarantined],
             "degraded": self.degraded,
@@ -93,10 +85,8 @@ class RunReport:
         lines = [f"run report ({self.backend} backend):"]
         lines.append(
             f"  failures observed:   {len(self.failures)}"
-            f"  (retries {self.retries}, respawns {self.respawns}, "
-            f"pool rebuilds {self.pool_rebuilds})"
+            f"  (retries {self.retries}, pool rebuilds {self.pool_rebuilds})"
         )
-        lines.append(f"  recovery points:     {self.recovery_points}")
         if self.degraded:
             lines.append(f"  degraded:            {self.degraded}")
         if self.quarantined:
@@ -110,14 +100,14 @@ class RunReport:
         return "\n".join(lines)
 
 
-#: The most recent supervised run's report (grid sweep or sharded run);
+#: The most recent supervised grid sweep's report;
 #: the CLI reads this to print diagnostics on nonzero exit.
 _LAST_REPORT: Optional[RunReport] = None
 
 
 def publish(report: RunReport) -> None:
     """Record ``report`` as the latest and mirror its counters onto the
-    process-wide ``grid_stats`` object (so retry/respawn/quarantine
+    process-wide ``grid_stats`` object (so retry/rebuild/quarantine
     totals show up in ``NetworkStats.summary()``)."""
     global _LAST_REPORT
     _LAST_REPORT = report
@@ -125,7 +115,6 @@ def publish(report: RunReport) -> None:
     from repro.harness.runner import grid_stats
 
     grid_stats.worker_retries += report.retries
-    grid_stats.worker_respawns += report.respawns
     grid_stats.pool_rebuilds += report.pool_rebuilds
     grid_stats.cells_quarantined += len(report.quarantined)
 

@@ -51,13 +51,6 @@ class SyntheticTraffic:
         self.hotspot_nodes = hotspot_nodes or [0]
         self.response_size = response_size
         self.offered = 0
-        #: Optional ``node -> bool`` predicate.  When set, packets whose
-        #: source node fails it are *dropped after* every RNG draw has
-        #: been made, so the random stream (and therefore every other
-        #: node's injections) is bit-identical with or without the
-        #: filter.  The sharded engine uses this to let each shard
-        #: replay only its own rows of the global injection sequence.
-        self.inject_filter = None
         if pattern is TrafficPattern.REQUEST_REPLY:
             network.on_delivery(self._maybe_reply)
 
@@ -82,9 +75,6 @@ class SyntheticTraffic:
                 if self.pattern is TrafficPattern.REQUEST_REPLY
                 else self._random_class()
             )
-            if self.inject_filter is not None \
-                    and not self.inject_filter(node):
-                continue
             pkt = packet_pool.acquire(node, dst, msg_class,
                                       created=self.network.cycle)
             self.network.send(pkt)

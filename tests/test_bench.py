@@ -45,7 +45,6 @@ def test_run_bench_produces_complete_report(tmp_path):
                  "mesh+pra@contested", "chiplet@contested"}
     assert set(report["micro"]) == (
         orgs | {f"{org}@low" for org in orgs} | contested
-        | {"mesh@shard1"}
     )
     for key in contested:
         cell = report["micro"][key]
@@ -66,10 +65,6 @@ def test_run_bench_produces_complete_report(tmp_path):
         # fast-forwarded real spans, and the digest pins the results.
         assert cell["cycles_skipped"] > 0
         assert len(cell["digest"]) == 64
-    shard_cell = report["micro"]["mesh@shard1"]
-    assert shard_cell["backend"] == "serial"
-    assert len(shard_cell["digest"]) == 64
-    assert report["shards"] == 1
     assert report["pools"]["packets_acquired"] > 0
     assert report["machine"]["calibration_mips"] > 0
     path = write_report(report, out=str(tmp_path / "BENCH_test.json"))

@@ -1,5 +1,5 @@
 """Chiplet topologies end to end: graph invariants, routing, chaos,
-checkpoints, sharding fallbacks, and pinned golden digests.
+checkpoints, and pinned golden digests.
 
 The topology-graph contract (docs/simulator_internals.md) is pinned
 here against every concrete :class:`~repro.noc.topology.Topology`:
@@ -31,7 +31,6 @@ from repro.noc.topology import (
     topology_from_spec,
 )
 from repro.params import NocKind, NocParams
-from repro.shard import SyntheticSpec, plan_shards
 from repro.workloads.synthetic import SyntheticTraffic, TrafficPattern
 
 from tests.helpers import assert_quiescent
@@ -209,31 +208,6 @@ def test_analytic_matches_chiplet_simulation():
             f"{entry.predicted_latency:.2f} vs sim "
             f"{entry.simulated_latency:.2f}"
         )
-
-
-# -- shard planning fallbacks (satellite 6) --------------------------------
-
-
-def test_plan_shards_chiplet_reason_is_structured():
-    params = SyntheticSpec(topology="chiplet:2x2x4x4").params()
-    effective, reason = plan_shards(params, 4)
-    assert effective == 1
-    assert reason.startswith("[topology=chiplet]")
-
-
-def test_plan_shards_ring_reason_is_structured():
-    effective, reason = plan_shards(SyntheticSpec(topology="ring").params(), 4)
-    assert effective == 1
-    assert reason.startswith("[topology=ring]")
-
-
-def test_plan_shards_kind_and_clamp_reasons_are_structured():
-    effective, reason = plan_shards(
-        SyntheticSpec(kind=NocKind.SMART).params(), 4)
-    assert (effective, reason.split("]")[0]) == (1, "[kind=smart")
-    effective, reason = plan_shards(SyntheticSpec().params(), 99)
-    assert effective == 8
-    assert reason.startswith("[clamp=8]")
 
 
 # -- CLI -------------------------------------------------------------------

@@ -1,12 +1,8 @@
-"""Supervised execution: every recovery path, digest-verified.
+"""Supervised evaluation grid: every recovery path, sample-verified.
 
-The resilience layer's correctness oracle is the same one the shard
-layer uses: the pinned golden digests.  A supervised sharded run whose
-workers were killed, hung, or babbling must still hash to the serial
-digest — recovery is only correct if it is invisible in the statistics.
-For the evaluation grid the oracle is bit-identical samples: a sweep
-with a poison cell or a crashed pool must reproduce the unfaulted
-samples for every cell it completes.
+The oracle is bit-identical samples: a sweep with a poison cell or a
+crashed pool must reproduce the unfaulted samples for every cell it
+completes — recovery is only correct if it is invisible in the results.
 """
 
 from __future__ import annotations
@@ -23,140 +19,10 @@ from repro.resilience import (
     clear_last_report,
     last_run_report,
 )
-from repro.shard import GOLDEN_SPEC, run_sharded
-from tests.test_golden_determinism import GOLDEN_NETWORK
 
-GOLDEN_MESH = GOLDEN_NETWORK[NocKind.MESH]
-
-#: No backoff sleeps, recovery points every 200 cycles — the recovery
-#: paths themselves are what these tests time-bound, not the waits.
-FAST = RetryPolicy(max_retries=2, heartbeat_timeout=30.0,
-                   quarantine_after=2, backoff_base=0.0,
-                   recovery_interval=200)
-
-
-def _kill(shard: int, at: int, incarnation=0) -> ProcessFaultPlan:
-    return ProcessFaultPlan(faults=(
-        ProcFault(scope="shard", target=shard, action="kill", at=at,
-                  incarnation=incarnation),
-    ))
-
-
-# -- sharded-run recovery ---------------------------------------------------
-
-
-def test_supervised_clean_run_matches_golden():
-    result = run_sharded(GOLDEN_SPEC, 2, backend="process", policy=FAST)
-    assert result.digest == GOLDEN_MESH
-    assert result.backend == "process"
-    assert result.report is not None
-    assert result.report.clean
-    # 800 injection cycles at a 200-cycle interval: barriers at 200,
-    # 400, and 600.
-    assert result.report.recovery_points == 3
-
-
-def test_killed_worker_restored_from_recovery_point():
-    """A worker killed mid-run (the OOM-killer shape) is respawned from
-    the last cycle-barrier recovery point and the run still reproduces
-    the pinned golden digest bit for bit."""
-    result = run_sharded(GOLDEN_SPEC, 2, backend="process", policy=FAST,
-                         faults=_kill(shard=1, at=300))
-    assert result.digest == GOLDEN_MESH
-    assert result.backend == "process"
-    report = result.report
-    assert report.respawns >= 1
-    assert report.degraded is None
-    assert any(f.kind == "died" for f in report.failures)
-    # The diagnosis names the worker and its exit code.
-    died = next(f for f in report.failures if f.kind == "died")
-    assert died.scope == "shard"
-    assert died.target == "1"
-    assert "exit code 113" in died.detail
-
-
-def test_hung_worker_detected_by_heartbeat():
-    """A worker that goes silent trips the heartbeat timeout, is
-    diagnosed as hung, and the pool recovers from the last barrier."""
-    policy = RetryPolicy(max_retries=2, heartbeat_timeout=0.5,
-                         backoff_base=0.0, recovery_interval=200)
-    plan = ProcessFaultPlan(faults=(
-        ProcFault(scope="shard", target=0, action="hang", at=300),
-    ))
-    result = run_sharded(GOLDEN_SPEC, 2, backend="process", policy=policy,
-                         faults=plan)
-    assert result.digest == GOLDEN_MESH
-    report = result.report
-    assert report.respawns >= 1
-    assert report.degraded is None
-    assert any(f.kind == "hung" for f in report.failures)
-
-
-def test_garbage_reply_diagnosed_and_recovered():
-    plan = ProcessFaultPlan(faults=(
-        ProcFault(scope="shard", target=1, action="garbage", at=300),
-    ))
-    result = run_sharded(GOLDEN_SPEC, 2, backend="process", policy=FAST,
-                         faults=plan)
-    assert result.digest == GOLDEN_MESH
-    assert any(f.kind == "garbage" for f in result.report.failures)
-    assert result.report.degraded is None
-
-
-def test_degrades_to_serial_when_retries_exhaust():
-    """A fault that kills the worker on *every* incarnation defeats
-    respawning; the supervisor must degrade to a serial continuation
-    from the last recovery point — and still hit the golden digest."""
-    policy = RetryPolicy(max_retries=1, backoff_base=0.0,
-                         recovery_interval=200)
-    result = run_sharded(GOLDEN_SPEC, 2, backend="process", policy=policy,
-                         faults=_kill(shard=1, at=300, incarnation=None))
-    assert result.digest == GOLDEN_MESH
-    assert result.backend == "serial-degraded"
-    report = result.report
-    assert report.degraded is not None
-    assert "cycle 200" in report.degraded
-    assert len(report.failures) == 2  # attempt 1 retried, attempt 2 gave up
-
-
-def test_checkpoint_survives_supervised_recovery():
-    """checkpoint_at through the supervised backend, with a kill before
-    the checkpoint barrier: the merged checkpoint must still restore to
-    the golden digest (same contract as test_shard_equivalence)."""
-    from repro.checkpoint.snapshot import restore_network
-    from repro.shard import summary_digest
-
-    result = run_sharded(GOLDEN_SPEC, 2, backend="process", policy=FAST,
-                         checkpoint_at=400, faults=_kill(shard=0, at=300))
-    assert result.digest == GOLDEN_MESH
-    assert result.checkpoint is not None
-    net, traffic = restore_network(result.checkpoint)
-    assert net.cycle == 400
-    traffic.run(GOLDEN_SPEC.cycles - 400)
-    net.drain(max_cycles=GOLDEN_SPEC.drain)
-    assert summary_digest(net.stats.summary()) == GOLDEN_MESH
-
-
-def test_recovery_counters_reach_network_stats():
-    """publish() mirrors recovery counters onto grid_stats, where the
-    summary surfaces them — but only when nonzero."""
-    before = runner.grid_stats.worker_respawns
-    result = run_sharded(GOLDEN_SPEC, 2, backend="process", policy=FAST,
-                         faults=_kill(shard=1, at=300))
-    assert runner.grid_stats.worker_respawns == before + result.report.respawns
-    assert "worker_respawns" in runner.grid_stats.summary()
-    # The supervised run's own merged stats stay digest-clean: recovery
-    # bookkeeping never leaks into the simulation summary.
-    assert "worker_respawns" not in result.summary
-
-
-def test_fault_injection_requires_process_backend():
-    with pytest.raises(ValueError, match="process backend"):
-        run_sharded(GOLDEN_SPEC, 2, backend="inline",
-                    faults=_kill(shard=0, at=100))
-    with pytest.raises(ValueError, match="multi-shard"):
-        run_sharded(GOLDEN_SPEC, 1, backend="process", policy=FAST,
-                    faults=_kill(shard=0, at=100))
+#: No backoff sleeps — the recovery paths themselves are what these
+#: tests time-bound, not the waits.
+FAST = RetryPolicy(max_retries=2, quarantine_after=2, backoff_base=0.0)
 
 
 # -- evaluation-grid supervision --------------------------------------------
@@ -310,29 +176,23 @@ def test_streaming_puts_survive_mid_sweep_crash(tmp_path, monkeypatch):
 
 
 def test_retry_policy_from_env(monkeypatch):
-    for var in ("REPRO_MAX_RETRIES", "REPRO_HEARTBEAT_TIMEOUT",
-                "REPRO_QUARANTINE_AFTER", "REPRO_RETRY_BACKOFF",
-                "REPRO_RECOVERY_INTERVAL"):
+    for var in ("REPRO_MAX_RETRIES", "REPRO_QUARANTINE_AFTER",
+                "REPRO_RETRY_BACKOFF"):
         monkeypatch.delenv(var, raising=False)
     assert RetryPolicy.from_env() == RetryPolicy()
     monkeypatch.setenv("REPRO_MAX_RETRIES", "5")
-    monkeypatch.setenv("REPRO_HEARTBEAT_TIMEOUT", "2.5")
     monkeypatch.setenv("REPRO_QUARANTINE_AFTER", "1")
     monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
-    monkeypatch.setenv("REPRO_RECOVERY_INTERVAL", "0")
     policy = RetryPolicy.from_env()
-    assert policy == RetryPolicy(max_retries=5, heartbeat_timeout=2.5,
-                                 quarantine_after=1, backoff_base=0.0,
-                                 recovery_interval=None)
+    assert policy == RetryPolicy(max_retries=5, quarantine_after=1,
+                                 backoff_base=0.0)
 
 
 @pytest.mark.parametrize("var,raw,match", [
     ("REPRO_MAX_RETRIES", "-1", "REPRO_MAX_RETRIES must be"),
     ("REPRO_MAX_RETRIES", "two", "REPRO_MAX_RETRIES must be"),
-    ("REPRO_HEARTBEAT_TIMEOUT", "0", "REPRO_HEARTBEAT_TIMEOUT must be"),
     ("REPRO_QUARANTINE_AFTER", "0", "REPRO_QUARANTINE_AFTER must be"),
     ("REPRO_RETRY_BACKOFF", "-0.1", "REPRO_RETRY_BACKOFF must be"),
-    ("REPRO_RECOVERY_INTERVAL", "soon", "REPRO_RECOVERY_INTERVAL must be"),
 ])
 def test_retry_policy_env_validation(monkeypatch, var, raw, match):
     monkeypatch.setenv(var, raw)
@@ -345,24 +205,17 @@ def test_retry_policy_backoff_and_barriers():
     assert policy.backoff(1) == 0.05
     assert policy.backoff(3) == 0.2
     assert policy.backoff(0) == 0.0
-    assert RetryPolicy(recovery_interval=200).barriers(800) == [200, 400, 600]
-    # Auto interval: a quarter of the injection window.
-    assert RetryPolicy().barriers(800) == [200, 400, 600]
     with pytest.raises(ValueError, match="max_retries"):
         RetryPolicy(max_retries=-1)
-    with pytest.raises(ValueError, match="recovery_interval"):
-        RetryPolicy(recovery_interval=0)
 
 
 def test_proc_fault_validation():
     with pytest.raises(ValueError, match="scope must be"):
         ProcFault(scope="node", target=0, action="kill")
-    with pytest.raises(ValueError, match="shard faults support"):
-        ProcFault(scope="shard", target=0, action="error")
     with pytest.raises(ValueError, match="cell faults support"):
         ProcFault(scope="cell", target=0, action="hang")
     with pytest.raises(ValueError, match="target must be"):
-        ProcFault(scope="shard", target=-1, action="kill")
+        ProcFault(scope="cell", target=-1, action="kill")
 
 
 def test_fault_plan_cell_lookup_and_random():
@@ -375,13 +228,6 @@ def test_fault_plan_cell_lookup_and_random():
     assert plan.cell_action(3, 1) == "kill"
     assert plan.cell_action(3, 0) is None
     assert plan.cell_action(0, 0) is None
-    # Seeded plans are deterministic values.
-    assert ProcessFaultPlan.random(7, shards=4, horizon=800) \
-        == ProcessFaultPlan.random(7, shards=4, horizon=800)
-    for fault in ProcessFaultPlan.random(7, shards=4, horizon=800).faults:
-        assert fault.scope == "shard"
-        assert 0 <= fault.target < 4
-        assert 80 <= fault.at < 720
 
 
 # -- REPRO_WALL_LIMIT validation (satellite) --------------------------------

@@ -1,10 +1,10 @@
 """Worker-pool plumbing: count validation and budget propagation.
 
-Covers the shared worker-count validator behind ``REPRO_JOBS``,
-``REPRO_SHARDS``, and ``--shards`` (bad values must exit 2 with a clear
-message, like every other CLI parameter), the resolved counts recorded
-in bench reports, and the deliberate ``_cell_wall_limit`` fallback for
-processes that never ran the pool initializer.
+Covers the worker-count validator behind ``REPRO_JOBS`` (bad values
+must exit 2 with a clear message, like every other CLI parameter), the
+resolved counts recorded in bench reports, and the deliberate
+``_cell_wall_limit`` fallback for processes that never ran the pool
+initializer.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.harness.runner import parse_worker_count
 
 def test_parse_worker_count_accepts_literals_and_auto():
     assert parse_worker_count("4", "REPRO_JOBS") == 4
-    assert parse_worker_count("1", "--shards") == 1
+    assert parse_worker_count("1", "REPRO_JOBS") == 1
     # 0 means one worker per CPU.
     assert parse_worker_count("0", "REPRO_JOBS") == (
         runner.os.cpu_count() or 1
@@ -27,38 +27,21 @@ def test_parse_worker_count_accepts_literals_and_auto():
 @pytest.mark.parametrize("raw", ["banana", "-1", "2.5", "", None])
 def test_parse_worker_count_rejects_junk(raw):
     with pytest.raises(ValueError) as excinfo:
-        parse_worker_count(raw, "REPRO_SHARDS")
+        parse_worker_count(raw, "REPRO_JOBS")
     # The message names the knob and echoes the offending value, the
     # same shape NocParams uses for CLI validation errors.
-    assert "REPRO_SHARDS must be a non-negative integer" in str(excinfo.value)
+    assert "REPRO_JOBS must be a non-negative integer" in str(excinfo.value)
     assert repr(raw) in str(excinfo.value)
 
 
-def test_cli_exits_2_on_bad_shard_flag(capsys):
+def test_cli_exits_2_on_bad_jobs_env(monkeypatch, capsys):
     from repro.cli import main
 
-    assert main(["bench", "--no-macro", "--shards", "lots"]) == 2
-    assert "--shards must be" in capsys.readouterr().err
-
-
-def test_cli_exits_2_on_bad_shards_env(monkeypatch, capsys):
-    from repro.cli import main
-
-    monkeypatch.setenv("REPRO_SHARDS", "-2")
-    # The simulate command resolves shards before any simulation work,
+    monkeypatch.setenv("REPRO_JOBS", "lots")
+    # The grid resolves its worker count before any simulation work,
     # so the bad value fails fast with the standard exit code.
-    assert main(["simulate", "web"]) == 2
-    assert "REPRO_SHARDS must be" in capsys.readouterr().err
-
-
-def test_simulate_warns_and_falls_back_on_shards(capsys):
-    from repro.cli import main
-
-    assert main(["simulate", "web", "--shards", "2",
-                 "--warmup", "20", "--measure", "30"]) == 0
-    captured = capsys.readouterr()
-    assert "do not shard yet" in captured.err
-    assert "aggregate IPC" in captured.out
+    assert main(["figures", "--only", "fig6"]) == 2
+    assert "REPRO_JOBS must be" in capsys.readouterr().err
 
 
 def test_run_macro_records_resolved_jobs(monkeypatch):
