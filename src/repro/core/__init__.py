@@ -15,14 +15,14 @@ else the network behaves exactly like the baseline mesh.
 """
 
 from repro.core.plan import PlanStep, PraPlan
-from repro.core.reservation import ReservationEntry, ReservationTable
+from repro.core.reservation import ClaimVector, ReservationTable
 from repro.core.control_network import ControlNetwork, ControlRun
 from repro.core.pra_network import PraNetwork
 
 __all__ = [
     "PlanStep",
     "PraPlan",
-    "ReservationEntry",
+    "ClaimVector",
     "ReservationTable",
     "ControlNetwork",
     "ControlRun",

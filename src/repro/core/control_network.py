@@ -17,15 +17,17 @@ packet's XY route, attempting one :class:`~repro.core.plan.PlanStep`
 every two cycles.  Reservation attempts are all-or-nothing per step:
 driver-port timeslots, bypassed-router timeslots, crossbar input slots,
 latch availability (for the ACK conversion of the previous landing), and
-full-packet buffer space at the new landing.  Contention for the
-multi-drop media and injection latches is modeled with per-(node,
-direction, cycle) claims; the loser is dropped, mirroring the statically
-prioritized input latches of the hardware.
+full-packet buffer space at the new landing.  Each check is one AND of
+the window against a bit vector, each commit one OR.  Contention for the
+multi-drop media and injection latches is modeled with one claim mask
+per cycle, a bit per (node, direction or injection latch); the loser is
+dropped, mirroring the statically prioritized input latches of the
+hardware.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.plan import (
     LAND_LATCH,
@@ -35,10 +37,9 @@ from repro.core.plan import (
     PraPlan,
     SRC_LATCH,
 )
-from repro.core.reservation import ReservationEntry
 from repro.noc.packet import Packet
 from repro.noc.routing import xy_route
-from repro.noc.topology import Direction
+from repro.noc.topology import _OPPOSITE, Direction
 from repro.trace.events import (
     EV_CONTROL_DROP,
     EV_CONTROL_INJECT,
@@ -64,6 +65,17 @@ DROP_FAULT_BLACKOUT = "fault_blackout"
 
 #: Cycles per multi-drop segment: one processing + one transmission.
 SEGMENT_CYCLES = 2
+
+#: Media-claim bits per node: one per direction, then the injection
+#: latch.
+_INJECT_BIT = len(Direction)
+_BITS_PER_NODE = _INJECT_BIT + 1
+
+
+def _media_bit(node: int, key) -> int:
+    """Claim-mask bit of ``node``'s ``key`` (a direction or "inject")."""
+    index = _INJECT_BIT if key == "inject" else int(key)
+    return 1 << (node * _BITS_PER_NODE + index)
 
 
 class ControlRun:
@@ -158,12 +170,12 @@ class ControlNetwork:
         self.network = network
         self.params = network.params.pra
         self.stats = network.stats
-        #: Multi-drop media and injection-latch claims, bucketed per
-        #: cycle: cycle -> {(node, direction-or-"inject"), ...}.  Buckets
-        #: are popped as cycles pass, so claims for past cycles are
-        #: unreachable and the structure stays bounded by the claim
-        #: horizon regardless of run length.
-        self._media: Dict[int, Set[Tuple[int, object]]] = {}
+        #: Multi-drop media and injection-latch claims, one mask per
+        #: cycle (see :func:`_media_bit`).  Masks are popped as cycles
+        #: pass, so claims for past cycles are unreachable and the
+        #: structure stays bounded by the claim horizon regardless of
+        #: run length.
+        self._media: Dict[int, int] = {}
         #: First cycle whose bucket has not been purged yet.
         self._purge_floor = 0
 
@@ -261,7 +273,7 @@ class ControlNetwork:
             self._finish(run, DROP_RESOURCE_BUSY)
             return
         run.pos += hops
-        run.entry_dir = direction.opposite
+        run.entry_dir = _OPPOSITE[direction]
         run.next_slot += 1
         run.lag -= 1
         tracer = self.network.tracer
@@ -279,10 +291,10 @@ class ControlNetwork:
         # that later drops an unrelated control packet with a spurious
         # conflict at that (node, direction, cycle).
         next_time = now + SEGMENT_CYCLES
-        keys = [(run.route[run.pos][0], direction, next_time)]
+        bits = _media_bit(run.route[run.pos][0], direction)
         if hops == 2:
-            keys.append((run.route[run.pos - 1][0], direction, next_time))
-        if not self._claim_all(keys):
+            bits |= _media_bit(run.route[run.pos - 1][0], direction)
+        if not self._claim_bits(next_time, bits):
             self._finish(run, DROP_CONTROL_CONFLICT)
             return
         self.network.schedule_call(next_time, self._process, run)
@@ -376,11 +388,10 @@ class ControlNetwork:
             via_node = run.route[run.pos + 1][0]
             via_router = routers[via_node]
             via_port = via_router.output_ports[direction]
-            if not via_port.reservations.within_horizon(now, slot, size):
-                return False
+            # (Every table shares the horizon checked at the driver.)
             if not via_port.reservations.window_free(slot, size):
                 return False
-            if not via_router.input_window_free(direction.opposite, slot, size):
+            if not via_router.input_window_free(_OPPOSITE[direction], slot, size):
                 return False
             if faults.enabled and faults.link_window_blocked(
                 via_node, direction, slot, size
@@ -422,21 +433,18 @@ class ControlNetwork:
             via_node=(run.route[run.pos + 1][0] if hops == 2 else None),
             landing_node=landing_node,
             landing_kind=LAND_VC,
-            landing_entry=direction.opposite,
+            landing_entry=_OPPOSITE[direction],
         )
         self._append_step(run, step)
-        for i in range(size):
-            table.reserve(
-                slot + i, ReservationEntry(run.plan, step, i, is_driver=True)
-            )
-            driver.claim_input(src_dir, slot + i, run.plan)
-            if via_port is not None:
-                via_port.reservations.reserve(
-                    slot + i,
-                    ReservationEntry(run.plan, step, i, is_driver=False),
-                )
-                via_router.claim_input(direction.opposite, slot + i, run.plan)
-        run.plan.claim_landing_vc(landing_port, vc_index)
+        plan = run.plan
+        table.reserve_window(slot, size, plan, step, True)
+        driver.claim_input_window(src_dir, slot, size, plan)
+        if via_port is not None:
+            via_port.reservations.reserve_window(slot, size, plan, step,
+                                                 False)
+            via_router.claim_input_window(_OPPOSITE[direction], slot, size,
+                                          plan)
+        plan.claim_landing_vc(landing_port, vc_index)
         # The reserved routers must be stepping when their slots arrive
         # even if no flit is buffered there; has_work() keeps them awake
         # until the tables drain.
@@ -497,11 +505,8 @@ class ControlNetwork:
             landing_kind=LAND_NI,
         )
         self._append_step(run, step)
-        for i in range(size):
-            port.reservations.reserve(
-                slot + i, ReservationEntry(run.plan, step, i, is_driver=True)
-            )
-            driver.claim_input(src_dir, slot + i, run.plan)
+        port.reservations.reserve_window(slot, size, run.plan, step, True)
+        driver.claim_input_window(src_dir, slot, size, run.plan)
         self.network.wake_router(node)
         tracer = self.network.tracer
         if tracer.enabled:
@@ -529,8 +534,7 @@ class ControlNetwork:
         prev = run.plan.steps[-1]
         run.plan.release_landing_vc()
         prev.landing_kind = LAND_LATCH
-        for i in range(size):
-            driver.claim_latch(entry_dir, slot - 1 + i, run.plan)
+        driver.claim_latch_window(entry_dir, slot - 1, size, run.plan)
 
     def _step0_source_claimable(self, run: ControlRun, node: int) -> bool:
         """The announced response will stream through the source NI's
@@ -572,30 +576,19 @@ class ControlNetwork:
         ni.pin(run.packet, run.plan)
 
     def _claim(self, node: int, key, cycle: int) -> bool:
-        bucket = self._media.get(cycle)
-        media_key = (node, key)
-        if bucket is None:
-            self._media[cycle] = {media_key}
-            return True
-        if media_key in bucket:
-            return False
-        bucket.add(media_key)
-        return True
+        return self._claim_bits(cycle, _media_bit(node, key))
 
-    def _claim_all(self, keys: Sequence[Tuple[int, object, int]]) -> bool:
-        """Claim every (node, key, cycle) or none (check, then commit)."""
-        for node, key, cycle in keys:
-            bucket = self._media.get(cycle)
-            if bucket is not None and (node, key) in bucket:
-                return False
-        for node, key, cycle in keys:
-            self._media.setdefault(cycle, set()).add((node, key))
+    def _claim_bits(self, cycle: int, bits: int) -> bool:
+        """Claim every media bit in ``bits`` at ``cycle``, or none."""
+        claimed = self._media.get(cycle, 0)
+        if claimed & bits:
+            return False
+        self._media[cycle] = claimed | bits
         return True
 
     def claimed(self, node: int, key, cycle: int) -> bool:
         """Is this (node, key, cycle) media slot currently claimed?"""
-        bucket = self._media.get(cycle)
-        return bucket is not None and (node, key) in bucket
+        return bool(self._media.get(cycle, 0) & _media_bit(node, key))
 
     def _append_step(self, run: ControlRun, step: PlanStep) -> None:
         """Commit a step; the packet adopts the plan at its first step
@@ -674,24 +667,23 @@ class ControlNetwork:
     # -- checkpointing ---------------------------------------------------
 
     def state_dict(self, ctx) -> dict:
-        """Media claims are membership-only (never iterated), so each
-        bucket is serialized in a canonical sorted order."""
+        """Each cycle's claims as ``[node, direction or "inject"]`` pairs
+        in bit order, which sorts by node, then key."""
         media = []
-        for cycle, bucket in sorted(self._media.items()):
-            claims = sorted(
-                ([node, int(key) if isinstance(key, Direction) else key]
-                 for node, key in bucket),
-                key=lambda claim: (claim[0], str(claim[1])),
-            )
+        for cycle, mask in sorted(self._media.items()):
+            claims = []
+            while mask:
+                low = mask & -mask
+                node, index = divmod(low.bit_length() - 1, _BITS_PER_NODE)
+                claims.append(
+                    [node, "inject" if index == _INJECT_BIT else index])
+                mask ^= low
             media.append([cycle, claims])
         return {"media": media, "purge_floor": self._purge_floor}
 
     def load_state(self, state: dict, ctx) -> None:
-        self._media = {
-            cycle: {
-                (node, key if key == "inject" else Direction(key))
-                for node, key in claims
-            }
-            for cycle, claims in state["media"]
-        }
+        self._media = {}
+        for cycle, claims in state["media"]:
+            for node, key in claims:
+                self._claim(node, key, cycle)
         self._purge_floor = state["purge_floor"]

@@ -114,12 +114,9 @@ class PraPlan:
         #: Current standard-VC claim at the chain's tail:
         #: (port feeding the landing router, vc index, credits claimed).
         self.vc_claim: Optional[Tuple["OutputPort", int, int]] = None
-        #: Latch claims: (router, (entry_dir, slot)) keys to release.
-        self.latch_claims: List[Tuple[object, Tuple[Direction, int]]] = []
-        #: Reservation-table entries placed for this plan, for refunds.
-        self.table_entries: List[Tuple[object, int]] = []
-        #: Input-port usage claims: (router, (direction, slot)).
-        self.input_claims: List[Tuple[object, Tuple[Direction, int]]] = []
+        #: Every window placed for this plan, for refunds: (reservation
+        #: table or claim vector, first slot, slot count).
+        self.windows: List[Tuple[object, int, int]] = []
         #: True when the source NI's local VC was claimed (or chained)
         #: for this packet and the injection slot pinned.
         self.injection_claim = False
@@ -129,10 +126,6 @@ class PraPlan:
     @property
     def size(self) -> int:
         return self.packet.size
-
-    @property
-    def last_step(self) -> Optional[PlanStep]:
-        return self.steps[-1] if self.steps else None
 
     # -- claims -----------------------------------------------------------
 
@@ -179,15 +172,10 @@ class PraPlan:
         self.packet.pra_plan = None
         self.packet.pra_pending = False
         self.release_landing_vc()
-        for router, key in self.latch_claims:
-            router.release_latch_claim(key, self)
-        for router, key in self.input_claims:
-            router.release_input_claim(key, self)
-        # Void reservation-table entries eagerly so the tables' pending
-        # counters stay exact; the tables also skip any entry whose plan
-        # is cancelled, so a missed void degrades gracefully.
-        for table, slot in self.table_entries:
-            table.void(slot, self)
+        # Void reservations and claims eagerly: their bits clear at once,
+        # and the routers' pending-slot counters stay exact.
+        for vector, first_slot, count in self.windows:
+            vector.void(first_slot, count, self)
         if self.source_interface is not None:
             if self.injection_claim:
                 vc = self.source_interface.port.downstream_vc(
@@ -207,11 +195,10 @@ class PraPlan:
     def state_dict(self, ctx) -> dict:
         """Scalar plan state plus the VC claim by port locator.
 
-        The ``latch_claims`` / ``table_entries`` / ``input_claims``
-        back-reference lists are *not* serialized: the routers rebuild
-        them on restore by re-registering their claims through the same
-        ``claim_latch`` / ``claim_input`` / ``reserve`` calls that built
-        them originally.
+        The ``windows`` back-reference list is *not* serialized: the
+        routers rebuild it on restore by re-registering their
+        reservations and claims through the same ``reserve_window`` /
+        ``claim_window`` calls that built it originally.
         """
         vc_claim = None
         if self.vc_claim is not None:

@@ -80,8 +80,9 @@ class PraInterface(NetworkInterface):
 
     def _arbitrate(self, now: int) -> None:
         # A pinned packet whose grant time has arrived takes priority and
-        # may be picked from anywhere in its class queue.
-        for packet, grant_time, plan in list(self._pins.values()):
+        # may be picked from anywhere in its class queue.  (Starting an
+        # injection may drop its pin, so the loop returns right after.)
+        for packet, grant_time, plan in self._pins.values():
             if plan.cancelled or now < grant_time:
                 continue
             if packet in self.queues[packet.vc_index]:

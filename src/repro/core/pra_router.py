@@ -18,16 +18,16 @@ pre-allocated by the time the port frees up.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional, Set, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
-from repro.core.plan import LAND_LATCH, LAND_NI, LAND_VC, PraPlan, SRC_VC
-from repro.core.reservation import ReservationEntry, ReservationTable
+from repro.core.plan import LAND_LATCH, LAND_NI, PlanStep, PraPlan, SRC_VC
+from repro.core.reservation import ClaimVector, ReservationTable
 from repro.noc.flit import Flit
-from repro.noc.network import _CREDIT
+from repro.noc.network import _CREDIT, _EJECT
 from repro.noc.packet import Packet
 from repro.noc.ports import OutputPort
 from repro.noc.router import CREDIT_DELAY, MeshRouter
-from repro.noc.topology import Direction
+from repro.noc.topology import _OPPOSITE, Direction
 from repro.noc.vc import VirtualChannel
 from repro.trace.events import EV_LATCH_BYPASS
 
@@ -45,7 +45,7 @@ class PraOutputPort(OutputPort):
 
     def __init__(self, *args, horizon: int, **kwargs):
         super().__init__(*args, **kwargs)
-        self.reservations = ReservationTable(horizon)
+        self.reservations = ReservationTable(horizon, self.router)
 
     def state_dict(self, ctx) -> dict:
         state = super().state_dict(ctx)
@@ -62,15 +62,21 @@ class PraRouter(MeshRouter):
 
     def __init__(self, node: int, network):
         self._horizon = network.params.pra.reservation_horizon
+        #: Reserved slots across this router's output ports (kept by
+        #: the tables): the router stays awake while any is pending.
+        self.pending_slots = 0
         super().__init__(node, network)
         #: One latch per input direction (Figure 4's extra VC).
         self._latches: Dict[Direction, Deque[Flit]] = {
             d: deque() for d in self.input_units
         }
-        #: Latch occupancy promises: (entry_dir, slot) -> plan.
-        self._latch_claims: Dict[Tuple[Direction, int], PraPlan] = {}
-        #: Crossbar-input promises: (direction, slot) -> plan.
-        self._input_claims: Dict[Tuple[Direction, int], PraPlan] = {}
+        #: Latch and crossbar-input occupancy per input direction.
+        self._latch_claims: Dict[Direction, ClaimVector] = {
+            d: ClaimVector() for d in self.input_units
+        }
+        self._input_claims: Dict[Direction, ClaimVector] = {
+            d: ClaimVector() for d in self.input_units
+        }
         self._last_purge = 0
         #: Cached PRA knobs (the step loop reads them every cycle).
         self._use_lsd = network.params.pra.use_lsd_trigger
@@ -90,37 +96,19 @@ class PraRouter(MeshRouter):
 
     def latch_window_free(self, direction: Direction, first_slot: int,
                           count: int) -> bool:
-        for i in range(count):
-            plan = self._latch_claims.get((direction, first_slot + i))
-            if plan is not None and not plan.cancelled:
-                return False
-        return True
+        return self._latch_claims[direction].window_free(first_slot, count)
 
-    def claim_latch(self, direction: Direction, slot: int, plan: PraPlan) -> None:
-        key = (direction, slot)
-        self._latch_claims[key] = plan
-        plan.latch_claims.append((self, key))
-
-    def release_latch_claim(self, key, plan: PraPlan) -> None:
-        if self._latch_claims.get(key) is plan:
-            del self._latch_claims[key]
+    def claim_latch_window(self, direction: Direction, first_slot: int,
+                           count: int, plan: PraPlan) -> None:
+        self._latch_claims[direction].claim_window(first_slot, count, plan)
 
     def input_window_free(self, direction: Direction, first_slot: int,
                           count: int) -> bool:
-        for i in range(count):
-            plan = self._input_claims.get((direction, first_slot + i))
-            if plan is not None and not plan.cancelled:
-                return False
-        return True
+        return self._input_claims[direction].window_free(first_slot, count)
 
-    def claim_input(self, direction: Direction, slot: int, plan: PraPlan) -> None:
-        key = (direction, slot)
-        self._input_claims[key] = plan
-        plan.input_claims.append((self, key))
-
-    def release_input_claim(self, key, plan: PraPlan) -> None:
-        if self._input_claims.get(key) is plan:
-            del self._input_claims[key]
+    def claim_input_window(self, direction: Direction, first_slot: int,
+                           count: int, plan: PraPlan) -> None:
+        self._input_claims[direction].claim_window(first_slot, count, plan)
 
     # -- flit reception (latch landings use the sentinel index) ---------------
 
@@ -146,40 +134,35 @@ class PraRouter(MeshRouter):
         the always-stepping behavior exactly: the PRA arbiter must run
         at every reserved cycle even when no flit is buffered locally.
         """
-        if self.active_flits > 0:
-            return True
-        for port in self.port_list:
-            if port.reservations._count:
-                return True
-        return False
+        return self.active_flits > 0 or self.pending_slots > 0
 
     # -- per-cycle processing ---------------------------------------------------
 
     def step(self, now: int) -> None:
-        used_inputs: Set[Direction] = set()
-        busy_dirs: Set[Direction] = set()
         # The PRA arbiter runs even under an injected router stall:
         # the paper splits it from the local arbiter (Figure 4), and
         # committed reservations are the only thing that drains
         # latches — freezing them would strand flits forever instead
         # of modeling a recoverable hardware hiccup.
-        self._execute_reservations(now, used_inputs, busy_dirs)
+        used = busy = 0
+        if self.pending_slots:
+            used, busy = self._execute_reservations(now)
+        if now - self._last_purge >= _PURGE_PERIOD:
+            self._purge(now)
         if self.active_flits == 0:
             # Awake purely for reserved slots (driving a bypass or
             # pinning resources): the local arbiter has nothing to do.
             return
         faults = self.network.faults
-        stalled = faults.enabled and faults.router_stalled(self.node, now)
-        if stalled:
-            if now - self._last_purge >= _PURGE_PERIOD:
-                self._purge(now)
+        if faults.enabled and faults.router_stalled(self.node, now):
             return
+        used_inputs = {d for d in self.input_units if used >> d & 1}
         candidates = self._collect_head_candidates()
         for port in self.port_list:
             direction = port.direction
             if faults.enabled and port.fault_stalled(now):
                 continue
-            if direction in busy_dirs:
+            if busy >> direction & 1:
                 self._count_blocked(candidates.get(direction), used_inputs)
                 continue
             if port.held_by is not None:
@@ -188,10 +171,8 @@ class PraRouter(MeshRouter):
                 group = candidates.get(direction)
                 if group:
                     self._try_grant(port, direction, now, used_inputs, group)
-        if self._use_lsd:
+        if self._use_lsd and candidates:
             self._lsd_scan(now, candidates)
-        if now - self._last_purge >= _PURGE_PERIOD:
-            self._purge(now)
 
     # -- build-time specialization (hot-path engine v3) --------------------------
 
@@ -216,7 +197,8 @@ class PraRouter(MeshRouter):
 
         Bit-identical to :meth:`step` with the generic local-arbiter
         helpers (``_advance_held``/``_try_grant``/``_grant``/
-        ``_pop_and_send``) inlined, mirroring the base mesh
+        ``_pop_and_send``/``_count_blocked``) inlined and the used
+        crossbar inputs kept as a bit mask, mirroring the base mesh
         ``_step_fast``.  Falls back to the generic step whenever an
         observer is attached (faults, tracer), so instrumented runs
         always exercise the reference path.
@@ -225,9 +207,11 @@ class PraRouter(MeshRouter):
         if network.faults.enabled or network.tracer.enabled:
             PraRouter.step(self, now)
             return
-        used_inputs: Set[Direction] = set()
-        busy_dirs: Set[Direction] = set()
-        self._execute_reservations(now, used_inputs, busy_dirs)
+        used = busy = 0
+        if self.pending_slots:
+            used, busy = self._execute_reservations(now)
+        if now - self._last_purge >= _PURGE_PERIOD:
+            self._purge(now)
         if self.active_flits == 0:
             return
         candidates = self._collect_head_candidates()
@@ -236,8 +220,15 @@ class PraRouter(MeshRouter):
         pop_send = self._pop_send_fast_pra
         for port in self.port_list:
             direction = port.direction
-            if busy_dirs and direction in busy_dirs:
-                self._count_blocked(candidates.get(direction), used_inputs)
+            if busy and busy >> direction & 1:
+                # Generic ``_count_blocked``.
+                for vc in candidates.get(direction, ()):
+                    if used >> vc.unit.direction & 1:
+                        continue
+                    flits = vc.flits
+                    if flits and flits[0].is_head and (
+                            flits[0].packet.pra_plan is None):
+                        flits[0].packet.pra_blocked_cycles += 1
                 continue
             held = port.held_by
             if held is not None:
@@ -248,12 +239,12 @@ class PraRouter(MeshRouter):
                 flits = vc.flits
                 if not flits or flits[0].packet is not held:
                     continue  # next flit still in flight from upstream
-                in_dir = vc.unit.direction
-                if in_dir in used_inputs:
+                in_bit = 1 << vc.unit.direction
+                if used & in_bit:
                     continue
                 if port.ni_sink is None and port.credits[port.held_dst_vc] < 1:
                     continue
-                used_inputs.add(in_dir)
+                used |= in_bit
                 if pop_send(port, vc, now).is_tail:
                     port.release()
                 continue
@@ -272,7 +263,7 @@ class PraRouter(MeshRouter):
             choice = None
             best = total
             for vc in group:
-                if vc.unit.direction in used_inputs:
+                if used >> vc.unit.direction & 1:
                     continue
                 if not ejection:
                     vc_index = vc.flits[0].packet.vc_index
@@ -297,13 +288,11 @@ class PraRouter(MeshRouter):
             port.active_vc = vc
             port.held_dst_vc = packet.vc_index
             port.holder_sent = 0
-            used_inputs.add(vc.unit.direction)
+            used |= 1 << vc.unit.direction
             if pop_send(port, vc, now).is_tail:
                 port.release()
-        if self._use_lsd:
+        if self._use_lsd and candidates:
             self._lsd_scan(now, candidates)
-        if now - self._last_purge >= _PURGE_PERIOD:
-            self._purge(now)
 
     def _pop_send_fast_pra(self, port: OutputPort, vc: VirtualChannel,
                            now: int) -> Flit:
@@ -359,121 +348,116 @@ class PraRouter(MeshRouter):
 
     # -- the PRA arbiter ---------------------------------------------------------
 
-    def _execute_reservations(
-        self, now: int, used_inputs: Set[Direction], busy_dirs: Set[Direction]
-    ) -> None:
+    def _execute_reservations(self, now: int) -> Tuple[int, int]:
+        """Run every reservation for slot ``now``: pin the bypassed ports
+        and drive the flits whose traversal starts here.  Returns the
+        bit masks of the crossbar inputs and the output ports used."""
+        used = busy = 0
         for port in self.port_list:
             table = port.reservations
-            if table._count == 0:
+            if now not in table.records:
                 continue
-            entry = table.pop(now)
-            if entry is None:
-                continue
-            if not entry.is_driver:
+            plan, step, is_driver = table.pop(now)
+            if not is_driver:
                 # A pre-allocated flit crosses this router's crossbar and
                 # output link this cycle (set up by the upstream driver);
                 # pin the port and the crossbar input for the cycle.  A
                 # normally allocated transmission holding the port simply
                 # skips this cycle (the PRA arbiter has priority).
-                busy_dirs.add(port.direction)
-                used_inputs.add(entry.step.out_dir.opposite)
-                continue
-            self._drive_entry(port, entry, now, used_inputs, busy_dirs)
+                busy |= 1 << port.direction
+                used |= 1 << _OPPOSITE[step.out_dir]
+            elif self._drive(port, plan, step, now):
+                busy |= 1 << port.direction
+                used |= 1 << step.source_dir
+        return used, busy
 
-    def _drive_entry(
-        self,
-        port: PraOutputPort,
-        entry: ReservationEntry,
-        now: int,
-        used_inputs: Set[Direction],
-        busy_dirs: Set[Direction],
-    ) -> None:
-        plan = entry.plan
-        step = entry.step
+    def _drive(self, port: PraOutputPort, plan: PraPlan, step: PlanStep,
+               now: int) -> bool:
+        """Pop the flit reserved for slot ``now`` from its source (the
+        local VC at step 0, the latch afterwards) and send it one or two
+        hops to its landing.  When the expected flit is not there the
+        plan is cancelled and nothing moves (returns False).
+
+        Events append straight into the cycle buckets (the target
+        cycles are ``now + <positive const>``); the credit rides the
+        ordered queue, as in :meth:`PraNetwork.schedule_credit`."""
         packet = plan.packet
-        flit = self._source_front(step)
-        expected = packet.flits[entry.flit_index]
-        if flit is not expected:
+        flit = packet.flits[now - step.slot]
+        if step.source_kind == SRC_VC:
+            vc = self.input_units[step.source_dir].vcs[step.source_vc]
+            source = vc.flits
+        else:
+            vc = None
+            source = self._latches[step.source_dir]
+        if not source or source[0] is not flit:
             plan.cancel()
-            return
-        busy_dirs.add(port.direction)
-        used_inputs.add(step.source_dir)
-        self._pop_source(step, now)
+            return False
+        source.popleft()
+        self.active_flits -= 1
+        network = self.network
+        events = network._events
+        pool = network._bucket_pool
+        if vc is not None:
+            if flit.is_tail:
+                vc.allocated_to = vc.next_claim
+                vc.next_claim = None
+            feeder = vc.unit.feeder_port
+            if feeder is not None:
+                time = now + CREDIT_DELAY
+                bucket = events.get(time)
+                if bucket is None:
+                    bucket = pool.pop() if pool else ([], [], [])
+                    events[time] = bucket
+                bucket[2].append((_CREDIT, feeder, vc.index))
         # Charge link/crossbar activity; a 2-hop step also crosses the
         # bypassed router's crossbar and outgoing link this cycle.
         port.flits_sent += 1
-        if step.hops == 2:
-            via_router = self.network.routers[step.via_node]
-            via_router.output_ports[step.out_dir].flits_sent += 1
+        hops = step.hops
+        if hops == 2:
+            network.routers[step.via_node].output_ports[
+                step.out_dir].flits_sent += 1
         if flit.is_head:
-            packet.hops_taken += step.hops
-        tracer = self.network.tracer
+            packet.hops_taken += hops
+        tracer = network.tracer
         if tracer.enabled:
             tracer.emit(
                 now, EV_LATCH_BYPASS, pid=packet.pid, node=self.node,
-                direction=step.out_dir.name, hops=step.hops,
+                direction=step.out_dir.name, hops=hops,
                 via=step.via_node, flit=flit.index,
                 source=step.source_kind, landing=step.landing_node,
                 landing_kind=step.landing_kind,
             )
-        self._deliver_to_landing(step, plan, flit, now)
+        time = now + 1
+        bucket = events.get(time)
+        if bucket is None:
+            bucket = pool.pop() if pool else ([], [], [])
+            events[time] = bucket
+        landing_kind = step.landing_kind
+        if landing_kind == LAND_NI:
+            bucket[2].append(
+                (_EJECT, network.interfaces[step.landing_node], flit))
+        elif landing_kind == LAND_LATCH:
+            bucket[0].append((network.routers[step.landing_node],
+                              step.landing_entry, LATCH_INDEX, flit))
+        else:
+            plan.consume_landing_credit()
+            bucket[0].append((network.routers[step.landing_node],
+                              step.landing_entry, packet.vc_index, flit))
         if flit.is_tail and step is plan.steps[-1]:
             # The whole pre-allocated stretch has been traversed.
             plan.finished = True
             packet.pra_plan = None
             packet.pra_pending = False
+        return True
 
-    def _source_front(self, step) -> Optional[Flit]:
-        if step.source_kind == SRC_VC:
-            vc = self.input_units[step.source_dir].vcs[step.source_vc]
-            return vc.front()
-        latch = self._latches[step.source_dir]
-        return latch[0] if latch else None
-
-    def _pop_source(self, step, now: int) -> None:
-        if step.source_kind == SRC_VC:
-            vc = self.input_units[step.source_dir].vcs[step.source_vc]
-            vc.pop()
-            self.active_flits -= 1
-            feeder = vc.unit.feeder_port
-            if feeder is not None:
-                self.network.schedule_credit(now + CREDIT_DELAY, feeder, vc.index)
-        else:
-            self._latches[step.source_dir].popleft()
-            self.active_flits -= 1
-
-    def _deliver_to_landing(self, step, plan: PraPlan, flit: Flit, now: int) -> None:
-        if step.landing_kind == LAND_NI:
-            ni = self.network.interfaces[step.landing_node]
-            self.network.schedule_eject(now + 1, ni, flit)
-            return
-        landing_router = self.network.routers[step.landing_node]
-        if step.landing_kind == LAND_LATCH:
-            self.network.schedule_arrival(
-                now + 1, landing_router, step.landing_entry, LATCH_INDEX, flit
-            )
-            return
-        assert step.landing_kind == LAND_VC
-        plan.consume_landing_credit()
-        self.network.schedule_arrival(
-            now + 1,
-            landing_router,
-            step.landing_entry,
-            flit.packet.vc_index,
-            flit,
-        )
-
-    # -- local arbiter constraints ------------------------------------------------
-
-    def _may_grant(self, port: OutputPort, packet: Packet, now: int) -> bool:
-        # Normally allocated packets never interleave with proactively
-        # allocated ones inside a VC because landings claim their VC
-        # (``allocated_to``) at reservation time — the structural
-        # equivalent of the paper's per-class multi-flit flag.  Port
-        # cycles reserved in the future are taken back by preemption
-        # (the PRA arbiter has priority at its slots), so the local
-        # arbiter needs no extra pending-reservation rule here.
-        return super()._may_grant(port, packet, now)
+    # -- the local arbiter ----------------------------------------------------------
+    #
+    # The stock mesh arbiter, unchanged.  Normally allocated packets
+    # never interleave with proactively allocated ones inside a VC
+    # because landings claim their VC (``allocated_to``) at reservation
+    # time — the structural equivalent of the paper's per-class
+    # multi-flit flag — and port cycles reserved in the future are taken
+    # back by preemption (the PRA arbiter has priority at its slots).
 
     def _count_blocked(self, candidates, used_inputs) -> None:
         """A head flit that would have requested this output this cycle
@@ -495,10 +479,17 @@ class PraRouter(MeshRouter):
         """Inject (at most) one control packet for a deterministic stall.
 
         Only head flits at the front of a VC can be stalled waiting for
-        an output port, so the scan reuses the cycle's candidate map.
+        an output port, so the scan reuses the cycle's candidate map, and
+        only a port held by a multi-flit packet has a deterministic
+        release (:meth:`_deterministic_release`), so other groups are
+        passed over whole.
         """
         max_lag = self._max_lag
-        for vcs in candidates.values():
+        output_ports = self.output_ports
+        for direction, vcs in candidates.items():
+            holder = output_ports[direction].held_by
+            if holder is None or not holder.is_multi_flit:
+                continue
             for vc in vcs:
                 front = vc.front()
                 if front is None or not front.is_head:
@@ -563,16 +554,13 @@ class PraRouter(MeshRouter):
             [int(direction), [ctx.flit_ref(flit) for flit in latch]]
             for direction, latch in self._latches.items()
         ]
-        state["latch_claims"] = [
-            [int(direction), slot, ctx.plan_ref(plan)]
-            for (direction, slot), plan in self._latch_claims.items()
-            if not plan.cancelled
-        ]
-        state["input_claims"] = [
-            [int(direction), slot, ctx.plan_ref(plan)]
-            for (direction, slot), plan in self._input_claims.items()
-            if not plan.cancelled
-        ]
+        for name, claims in (("latch_claims", self._latch_claims),
+                             ("input_claims", self._input_claims)):
+            state[name] = [
+                [int(direction), slot, ctx.plan_ref(plan)]
+                for direction, vector in claims.items()
+                for slot, plan in vector.claims()
+            ]
         state["last_purge"] = self._last_purge
         return state
 
@@ -582,25 +570,25 @@ class PraRouter(MeshRouter):
             self._latches[Direction(direction_value)] = deque(
                 ctx.flit(ref) for ref in refs
             )
-        # ``claim_latch`` / ``claim_input`` rebuild each plan's release
-        # back-reference lists as a side effect, mirroring reserve().
-        self._latch_claims = {}
-        for direction_value, slot, plan_ref in state["latch_claims"]:
-            self.claim_latch(Direction(direction_value), slot,
-                             ctx.plan(plan_ref))
-        self._input_claims = {}
-        for direction_value, slot, plan_ref in state["input_claims"]:
-            self.claim_input(Direction(direction_value), slot,
-                             ctx.plan(plan_ref))
+        # ``claim_window`` rebuilds each plan's refund list as a side
+        # effect, mirroring ``reserve_window``.
+        for name, claims in (("latch_claims", self._latch_claims),
+                             ("input_claims", self._input_claims)):
+            for direction in claims:
+                claims[direction] = ClaimVector()
+            for direction_value, slot, plan_ref in state[name]:
+                claims[Direction(direction_value)].claim_window(
+                    slot, 1, ctx.plan(plan_ref))
         self._last_purge = state["last_purge"]
 
     # -- housekeeping -------------------------------------------------------------
 
     def _purge(self, now: int) -> None:
         self._last_purge = now
-        for port in self.output_ports.values():
-            port.reservations.purge_before(now)
+        for port in self.port_list:
+            if port.reservations.mask:
+                port.reservations.purge_before(now)
         for claims in (self._latch_claims, self._input_claims):
-            stale = [key for key in claims if key[1] < now]
-            for key in stale:
-                del claims[key]
+            for vector in claims.values():
+                if vector.mask:
+                    vector.purge_before(now)

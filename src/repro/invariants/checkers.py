@@ -9,16 +9,17 @@ Four families of checks, all pure observation:
 * **Credit accounting** — for every (output port, VC): credits +
   reserved claims + downstream occupancy + in-flight arrivals + pending
   credit returns == buffer depth, and nothing is negative.
-* **Reservation/claim leaks** — no live reservation-table entry, latch
+* **Reservation/claim leaks** — no reservation-table entry, latch
   claim, input claim, or buffer claim survives past its timeslot or its
-  plan's cancellation.
+  plan's cancellation, and each router's pending-slot count matches its
+  tables.
 * **Deadlock/livelock watchdog** — if packets are in flight but no flit
   has moved for a whole window, snapshot the blocked-packet wait graph
   and raise a structured report instead of letting the run spin.
 
-Checks read ``table._slots`` directly rather than through ``entry_at``
-(which deletes cancelled entries as a side effect): an audit must never
-mutate the state it audits.
+Checks read the reservation tables' records and the claim vectors'
+windows directly rather than through ``pop`` or ``void``: an audit must
+never mutate the state it audits.
 """
 
 from __future__ import annotations
@@ -458,31 +459,48 @@ class InvariantSuite:
     def _audit_reservations(self, net, now: int) -> None:
         """No live timeslot in the past; no claim outliving its plan."""
         for router in net.routers:
+            pending = 0
             for port in router.output_ports.values():
                 table = getattr(port, "reservations", None)
                 if table is None:
                     continue
-                for slot, entry in list(table._slots.items()):
-                    if slot < now and entry.live:
+                pending += len(table.records)
+                for slot, (plan, _, _) in table.records.items():
+                    if slot < now or plan.cancelled:
+                        why = ("its plan was cancelled" if plan.cancelled
+                               else f"it was never executed ({slot} < {now})")
                         self._fail(
                             "reservation_leak", now,
-                            f"live reservation for packet "
-                            f"{entry.plan.packet.pid} at router "
-                            f"{router.node} port {port_name(port.direction)} "
-                            f"was never executed (slot {slot} < {now})",
+                            f"reservation for packet {plan.packet.pid} at "
+                            f"router {router.node} port "
+                            f"{port_name(port.direction)} slot {slot} "
+                            f"survives: {why}",
                         )
+            # The counter that keeps the router awake must match its
+            # tables, or the router sleeps through a reserved slot.
+            if getattr(router, "pending_slots", pending) != pending:
+                self._fail(
+                    "reservation_leak", now,
+                    f"router {router.node} counts "
+                    f"{router.pending_slots} pending slots but its "
+                    f"tables hold {pending}",
+                )
             for name in ("_latch_claims", "_input_claims"):
                 claims = getattr(router, name, None)
                 if claims is None:
                     continue
-                for key, plan in list(claims.items()):
-                    if plan.cancelled:
-                        self._fail(
-                            "claim_leak", now,
-                            f"cancelled plan for packet {plan.packet.pid} "
-                            f"still holds {name[1:]} {key} at router "
-                            f"{router.node}",
-                        )
+                for direction, vector in claims.items():
+                    for first_slot, count, plan in vector.windows:
+                        if plan.cancelled:
+                            self._fail(
+                                "claim_leak", now,
+                                f"cancelled plan for packet "
+                                f"{plan.packet.pid} still holds "
+                                f"{name[1:]} {port_name(direction)} "
+                                f"slots {first_slot}..."
+                                f"{first_slot + count - 1} at router "
+                                f"{router.node}",
+                            )
             for port in router.output_ports.values():
                 if port.is_ejection or port.downstream_unit is None:
                     continue

@@ -59,20 +59,25 @@ def assert_quiescent(net: Network) -> None:
             table = getattr(port, "reservations", None)
             if table is None:
                 continue
-            for slot, entry in list(table._slots.items()):
-                assert not entry.live, (
+            for slot, (plan, _, _) in table.records.items():
+                assert plan.cancelled, (
                     f"live reservation leaked at router {router.node} "
-                    f"port {port.direction.name} slot {slot}: {entry.plan}"
+                    f"port {port.direction.name} slot {slot}: {plan}"
                 )
+        assert getattr(router, "pending_slots", 0) == 0, (
+            f"pending-slot counter leaked at router {router.node}"
+        )
         for attr in ("_latch_claims", "_input_claims"):
             claims = getattr(router, attr, None)
             if claims is None:
                 continue
-            for key, plan in list(claims.items()):
-                assert plan.cancelled or plan.finished, (
-                    f"{attr} entry at router {router.node} {key} owned "
-                    f"by a pending plan: {plan}"
-                )
+            for direction, vector in claims.items():
+                for first_slot, count, plan in vector.windows:
+                    assert plan.cancelled or plan.finished, (
+                        f"{attr} window at router {router.node} "
+                        f"{direction.name} slots {first_slot}+{count} "
+                        f"owned by a pending plan: {plan}"
+                    )
     for ni in net.interfaces:
         assert not ni.port.is_held, f"NI port held at {ni.node}"
         for queue in ni.queues:

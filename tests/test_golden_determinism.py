@@ -1,6 +1,6 @@
 """Golden-determinism regression oracle for the hot-path optimizations.
 
-The activity-based cycle loop, the reservation ring buffer, and the rest
+The activity-based cycle loop, the reservation bit vectors, and the rest
 of the performance work in this repository are only admissible if they
 are *pure* optimizations: every organization must produce bit-identical
 statistics to the unoptimized simulator.  The digests below were

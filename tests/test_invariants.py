@@ -5,7 +5,6 @@ scream on corrupted state, and the watchdog turns hangs into reports.
 import pytest
 
 from repro.core.plan import PlanStep, PraPlan, SRC_VC
-from repro.core.reservation import ReservationEntry
 from repro.faults import FaultInjector, FaultSchedule, StallWindow
 from repro.invariants import InvariantSuite, InvariantViolation, wait_graph
 from repro.noc.packet import Packet
@@ -160,11 +159,20 @@ def test_stale_live_reservation_is_detected():
     step = PlanStep(driver_node=0, out_dir=Direction.EAST, slot=2, hops=1,
                     source_kind=SRC_VC)
     table = net.routers[0].output_ports[Direction.EAST].reservations
-    entry = ReservationEntry(plan=plan, step=step, flit_index=0, is_driver=True)
-    # Plant the stale entry directly in the ring, bypassing reserve()'s
-    # validation (the corruption this audit exists to catch).
-    table._ring[2 % table._size] = (2, entry)
-    table._count += 1
+    # Reserve a slot that is already in the past: no arbiter will ever
+    # pop it (the corruption this audit exists to catch).
+    table.reserve_window(2, 1, plan, step, True)
+    suite = InvariantSuite()
+    with pytest.raises(InvariantViolation) as exc:
+        suite.audit(net, net.cycle)
+    assert exc.value.check == "reservation_leak"
+
+
+def test_pending_slot_counter_drift_is_detected():
+    """The counter that keeps a PRA router awake must match its tables."""
+    net = make_network(NocKind.MESH_PRA)
+    net.run(4)
+    net.routers[0].pending_slots += 1
     suite = InvariantSuite()
     with pytest.raises(InvariantViolation) as exc:
         suite.audit(net, net.cycle)
@@ -176,8 +184,9 @@ def test_cancelled_plan_claim_is_detected():
     net.run(4)
     packet = Packet(src=0, dst=5, msg_class=MessageClass.REQUEST, created=0)
     plan = PraPlan(packet, start_slot=2)
+    net.routers[0].claim_latch_window(Direction.EAST, 99, 1, plan)
+    # Flip the flag without ``cancel()``, which would release the claim.
     plan.cancelled = True
-    net.routers[0]._latch_claims[(Direction.EAST, 99)] = plan
     suite = InvariantSuite()
     with pytest.raises(InvariantViolation) as exc:
         suite.audit(net, net.cycle)

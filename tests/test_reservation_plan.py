@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.plan import PlanStep, PraPlan, LAND_VC, SRC_VC
-from repro.core.reservation import ReservationEntry, ReservationTable
+from repro.core.reservation import ReservationTable
 from repro.noc.packet import Packet
 from repro.noc.topology import Direction
 from repro.params import MessageClass
@@ -14,72 +14,78 @@ def make_plan(size_class=MessageClass.RESPONSE):
     return PraPlan(pkt, start_slot=10), pkt
 
 
-def make_entry(plan, slot=10, flit=0, driver=True):
-    step = PlanStep(
+def make_step(slot=10):
+    return PlanStep(
         driver_node=0, out_dir=Direction.EAST, slot=slot, hops=1,
         source_kind=SRC_VC, source_dir=Direction.LOCAL, source_vc=2,
         landing_node=1, landing_kind=LAND_VC,
         landing_entry=Direction.WEST,
     )
-    return ReservationEntry(plan, step, flit, is_driver=driver)
+
+
+class _FakeRouter:
+    """Holder of the pending-slot counter a table keeps."""
+
+    pending_slots = 0
+
+
+def make_table(horizon=12):
+    return ReservationTable(horizon=horizon, router=_FakeRouter())
 
 
 class TestReservationTable:
     def test_reserve_and_pop(self):
-        table = ReservationTable(horizon=12)
+        table = make_table()
         plan, _ = make_plan()
-        entry = make_entry(plan)
-        table.reserve(10, entry)
-        assert not table.is_free(10)
-        assert table.pop(10) is entry
-        assert table.is_free(10)
+        step = make_step()
+        table.reserve_window(10, 2, plan, step, True)
+        assert not table.window_free(10, 1)
+        assert table.router.pending_slots == 2
+        assert table.pop(10) == (plan, step, True)
+        assert table.window_free(10, 1) and not table.window_free(11, 1)
+        assert table.router.pending_slots == 1
+        assert table.pop(10) is None
 
     def test_double_booking_rejected(self):
-        table = ReservationTable(horizon=12)
+        table = make_table()
         plan, _ = make_plan()
-        table.reserve(10, make_entry(plan))
+        table.reserve_window(10, 3, plan, make_step(), True)
         with pytest.raises(RuntimeError):
-            table.reserve(10, make_entry(plan))
+            table.reserve_window(12, 1, plan, make_step(12), True)
 
     def test_cancelled_plan_frees_slot(self):
-        table = ReservationTable(horizon=12)
+        table = make_table()
         plan, _ = make_plan()
-        table.reserve(10, make_entry(plan))
-        plan.cancelled = True
-        assert table.is_free(10)
+        table.reserve_window(10, 1, plan, make_step(), True)
+        plan.cancel()
+        assert table.window_free(10, 1)
+        assert table.router.pending_slots == 0
         # A new reservation may take the slot.
         plan2, _ = make_plan()
-        table.reserve(10, make_entry(plan2))
-        assert table.entry_at(10).plan is plan2
+        table.reserve_window(10, 1, plan2, make_step(), True)
+        assert table.records[10][0] is plan2
 
     def test_window_free(self):
-        table = ReservationTable(horizon=12)
+        table = make_table()
         plan, _ = make_plan()
-        table.reserve(12, make_entry(plan, slot=12))
+        table.reserve_window(12, 1, plan, make_step(12), True)
         assert table.window_free(8, 4)
         assert not table.window_free(10, 4)
 
     def test_horizon(self):
-        table = ReservationTable(horizon=8)
+        table = make_table(horizon=8)
         assert table.within_horizon(now=100, first_slot=104, count=5)
         assert not table.within_horizon(now=100, first_slot=105, count=5)
 
-    def test_has_pending_multiflit_per_class(self):
-        table = ReservationTable(horizon=12)
-        plan, pkt = make_plan(MessageClass.RESPONSE)
-        table.reserve(11, make_entry(plan, slot=11))
-        assert table.has_pending_multiflit(10, MessageClass.RESPONSE)
-        assert not table.has_pending_multiflit(10, MessageClass.REQUEST)
-        assert not table.has_pending_multiflit(12, MessageClass.RESPONSE)
-
     def test_purge_before(self):
-        table = ReservationTable(horizon=12)
+        table = make_table()
         plan, _ = make_plan()
-        table.reserve(5, make_entry(plan, slot=5))
-        table.reserve(9, make_entry(plan, slot=9))
+        table.reserve_window(5, 1, plan, make_step(5), True)
+        table.reserve_window(9, 1, plan, make_step(9), True)
         table.purge_before(8)
         assert len(table) == 1
-        assert table.is_free(5) and not table.is_free(9)
+        assert table.router.pending_slots == 1
+        assert table.window_free(5, 1) and not table.window_free(9, 1)
 
 
 class _FakePort:
